@@ -9,8 +9,6 @@ namespace us3d::fx {
 
 namespace {
 
-constexpr int kMaxWordBits = 62;  // headroom below int64_t to avoid UB
-
 std::int64_t saturate_or_wrap(std::int64_t raw, const Format& fmt,
                               Overflow overflow) {
   const std::int64_t lo = fmt.min_raw();
@@ -44,21 +42,17 @@ std::int64_t shift_right_rounded(std::int64_t raw, int shift,
                                  Rounding rounding) {
   if (shift == 0) return raw;
   US3D_EXPECTS(shift > 0 && shift < 63);
-  const std::int64_t one = std::int64_t{1} << shift;
-  const std::int64_t half = one >> 1;
   switch (rounding) {
     case Rounding::kFloor:
       return raw >> shift;  // arithmetic shift: toward -inf
     case Rounding::kTruncate:
       return raw >= 0 ? (raw >> shift) : -((-raw) >> shift);
-    case Rounding::kHalfUp: {
-      // Round to nearest; ties away from zero.
-      if (raw >= 0) return (raw + half) >> shift;
-      return -((-raw + half) >> shift);
-    }
+    case Rounding::kHalfUp:
+      return RoundShift(shift)(raw);  // ties away from zero
     case Rounding::kHalfEven: {
+      const std::int64_t half = std::int64_t{1} << (shift - 1);
       std::int64_t q = raw >> shift;            // floor
-      const std::int64_t rem = raw - (q << shift);  // in [0, one)
+      const std::int64_t rem = raw - (q << shift);  // in [0, 2^shift)
       if (rem > half || (rem == half && (q & 1) != 0)) ++q;
       return q;
     }
@@ -67,6 +61,15 @@ std::int64_t shift_right_rounded(std::int64_t raw, int shift,
 }
 
 }  // namespace
+
+Requantize::Requantize(int from_fraction_bits, const Format& to)
+    : left(std::max(0, to.fraction_bits - from_fraction_bits)),
+      round(std::max(0, from_fraction_bits - to.fraction_bits)),
+      lo(to.min_raw()),
+      hi(to.max_raw()) {
+  US3D_EXPECTS(from_fraction_bits >= 0);
+  US3D_EXPECTS(left < kMaxWordBits && round.shift < kMaxWordBits);
+}
 
 double Format::scale() const { return std::ldexp(1.0, -fraction_bits); }
 

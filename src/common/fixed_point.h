@@ -8,6 +8,7 @@
 #ifndef US3D_COMMON_FIXED_POINT_H
 #define US3D_COMMON_FIXED_POINT_H
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -30,6 +31,11 @@ enum class Overflow {
   kThrow,     ///< raise ContractViolation; used in tests/debug
 };
 
+/// Widest raw word any Format may declare, and the headroom every raw
+/// intermediate of a resolved datapath (see Requantize) is proved to stay
+/// within: 62 bits leave the sign and one bit for a rounding add in int64_t.
+constexpr int kMaxWordBits = 62;
+
 /// A fixed-point format Q<integer_bits>.<fraction_bits>, optionally signed.
 /// The sign bit, when present, is *in addition* to integer_bits, matching
 /// the paper's notation ("signed 13.4" occupies 1+13+4 = 18 bits).
@@ -41,6 +47,8 @@ struct Format {
   constexpr int total_bits() const {
     return integer_bits + fraction_bits + (is_signed ? 1 : 0);
   }
+  /// |raw| <= 2^magnitude_bits() for every representable word.
+  constexpr int magnitude_bits() const { return integer_bits + fraction_bits; }
   /// Scale factor: real = raw / 2^fraction_bits.
   double scale() const;
   /// Smallest/largest representable raw word.
@@ -116,6 +124,43 @@ Value sub(const Value& a, const Value& b, const Format& result_fmt,
 Value mul(const Value& a, const Value& b, const Format& result_fmt,
           Rounding rounding = Rounding::kHalfUp,
           Overflow overflow = Overflow::kSaturate);
+
+/// Half-up (ties away from zero) rounding of raw * 2^-shift, shift >= 0,
+/// with the half-LSB constant resolved once: the kHalfUp rule of every
+/// operation above, in a form hot loops can hold in registers.
+struct RoundShift {
+  int shift = 0;
+  std::int64_t half = 0;
+
+  constexpr RoundShift() = default;
+  constexpr explicit RoundShift(int s)
+      : shift(s), half(s > 0 ? std::int64_t{1} << (s - 1) : 0) {}
+
+  constexpr std::int64_t operator()(std::int64_t raw) const {
+    return raw >= 0 ? (raw + half) >> shift : -((-raw + half) >> shift);
+  }
+};
+
+/// One width change of a modelled datapath, resolved at construction: a
+/// full-precision word with `from_fraction_bits` fraction bits re-quantized
+/// into `to` with kHalfUp rounding and kSaturate overflow. Bit-identical to
+/// what add/sub/mul do after forming their wide word, minus the runtime
+/// Format, the mode switches and the from_raw check. The caller proves at
+/// its own construction that the wide word, aligned, stays within
+/// kMaxWordBits (see magnitude_bits()).
+struct Requantize {
+  int left = 0;        ///< exact alignment when `to` is the finer grid
+  RoundShift round{};  ///< rounding shift when `to` is the coarser grid
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+
+  Requantize() = default;
+  Requantize(int from_fraction_bits, const Format& to);
+
+  std::int64_t operator()(std::int64_t wide) const {
+    return std::clamp(round(wide << left), lo, hi);
+  }
+};
 
 /// Round a real number onto an integer grid with the given mode.
 /// Exposed because delay *selection* (index into the echo buffer) uses the

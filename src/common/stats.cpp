@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/contracts.h"
@@ -47,30 +48,103 @@ double AbsErrorStats::fraction_exceeding() const {
                  : 0.0;
 }
 
+namespace {
+
+const double kLogGamma =
+    std::log((1.0 + SampleQuantiles::kRelativeError) /
+             (1.0 - SampleQuantiles::kRelativeError));
+
+int bucket_index(double x) {
+  return static_cast<int>(std::ceil(std::log(x) / kLogGamma));
+}
+
+double bucket_value(int index) {
+  // 2 g^i / (g + 1) = g^i * (1 - kRelativeError).
+  return std::exp(kLogGamma * index) * (1.0 - SampleQuantiles::kRelativeError);
+}
+
+/// Saturating uint32 count add: a bucket that outlives 2^32 samples stops
+/// counting rather than wrapping (rank_value then falls back to max).
+void bump(std::uint32_t& slot, std::uint64_t by) {
+  slot = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+      std::uint64_t{slot} + by, std::numeric_limits<std::uint32_t>::max()));
+}
+
+}  // namespace
+
+std::uint32_t& SampleQuantiles::bucket(int index) {
+  if (counts_.empty()) {
+    offset_ = index;
+    counts_.push_back(0);
+  } else if (index < offset_) {
+    counts_.insert(counts_.begin(), static_cast<std::size_t>(offset_ - index),
+                   0);
+    offset_ = index;
+  } else if (index - offset_ >= static_cast<int>(counts_.size())) {
+    counts_.resize(static_cast<std::size_t>(index - offset_) + 1, 0);
+  }
+  return counts_[static_cast<std::size_t>(index - offset_)];
+}
+
 void SampleQuantiles::add(double x) {
-  samples_.push_back(x);
-  sorted_ = samples_.size() <= 1;
+  US3D_EXPECTS(std::isfinite(x) && x >= 0.0);
+  if (x < kMinTracked) {
+    ++below_;
+  } else {
+    bump(bucket(bucket_index(x)), 1);
+  }
+  min_ = count_ == 0 ? x : std::min(min_, x);
+  max_ = count_ == 0 ? x : std::max(max_, x);
+  ++count_;
 }
 
 void SampleQuantiles::merge(const SampleQuantiles& other) {
-  if (other.samples_.empty()) return;
-  samples_.insert(samples_.end(), other.samples_.begin(),
-                  other.samples_.end());
-  sorted_ = false;
+  if (other.count_ == 0) return;
+  if (!other.counts_.empty()) {
+    // Touch both ends first so the span grows at most twice.
+    bucket(other.offset_);
+    bucket(other.offset_ + static_cast<int>(other.counts_.size()) - 1);
+    for (std::size_t i = 0; i < other.counts_.size(); ++i) {
+      bump(counts_[static_cast<std::size_t>(other.offset_ - offset_) + i],
+           other.counts_[i]);
+    }
+  }
+  below_ += other.below_;
+  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
+  max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
+  count_ += other.count_;
+}
+
+double SampleQuantiles::rank_value(std::uint64_t r) const {
+  if (r == 0) return min_;
+  if (r + 1 == count_) return max_;
+  if (r < below_) return 0.0;
+  std::uint64_t seen = below_;
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    seen += counts_[i];
+    if (r < seen) {
+      // Clamping moves the estimate toward the sample (which lies in
+      // [min, max]) and keeps rank values monotone.
+      return std::clamp(bucket_value(offset_ + static_cast<int>(i)), min_,
+                        max_);
+    }
+  }
+  return max_;
 }
 
 double SampleQuantiles::quantile(double q) const {
   US3D_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (samples_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  const double pos = q * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
+  if (count_ == 0) return 0.0;
+  // The exact estimator's ranks and weights, each rank read from its
+  // bucket: interpolating two values that are each within the relative
+  // bound keeps the interpolation within it too.
+  const double pos = q * static_cast<double>(count_ - 1);
+  const auto lo = static_cast<std::uint64_t>(pos);
+  const std::uint64_t hi = std::min<std::uint64_t>(lo + 1, count_ - 1);
   const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] + frac * (samples_[hi] - samples_[lo]);
+  const double v_lo = rank_value(lo);
+  const double v_hi = hi == lo ? v_lo : rank_value(hi);
+  return v_lo + frac * (v_hi - v_lo);
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

@@ -56,27 +56,54 @@ class AbsErrorStats {
   double threshold_;
 };
 
-/// Exact sample-set quantiles for modest streams (per-session latency
-/// distributions in the imaging service). Samples are stored and sorted
-/// lazily on the first quantile() after an add(), so repeated reads are
-/// cheap; use a histogram for unbounded streams.
+/// Bounded-memory quantiles of a non-negative stream (per-session latency
+/// distributions in the imaging service): a log-bucketed, HDR-style
+/// histogram. A sample x >= kMinTracked lands in bucket i = ceil(log_g x),
+/// g = (1 + kRelativeError) / (1 - kRelativeError), whose representative
+/// 2 g^i / (g + 1) is within kRelativeError of every value in the bucket.
+/// Counts are uint32 over only the span of buckets touched, so memory
+/// follows the stream's dynamic range (about a kilobyte for a latency
+/// spread of two decades), never its length.
+///
+/// Declared bound: quantile(q) differs from the exact linearly
+/// interpolated sample quantile by at most kRelativeError times it, plus
+/// kMinTracked (samples below kMinTracked, 0 included, read as 0). The
+/// smallest and largest samples are kept exactly, so quantile(0),
+/// quantile(1) and every quantile of a constant stream are exact.
 class SampleQuantiles {
  public:
+  static constexpr double kRelativeError = 0.01;
+  static constexpr double kMinTracked = 1e-9;
+
+  /// x must be finite and >= 0.
   void add(double x);
-  /// Appends every sample of `other` (service-wide aggregation over
+  /// Bucket-wise add of `other` (service-wide aggregation over
   /// per-session accumulators).
   void merge(const SampleQuantiles& other);
 
-  std::size_t count() const { return samples_.size(); }
-  /// Linear-interpolated quantile for q in [0, 1]; 0 when empty.
+  std::size_t count() const { return count_; }
+  /// Interpolated quantile for q in [0, 1] within the declared bound;
+  /// 0 when empty.
   double quantile(double q) const;
   double p50() const { return quantile(0.50); }
   double p90() const { return quantile(0.90); }
   double p99() const { return quantile(0.99); }
 
+  /// Buckets currently held (the touched span), for memory accounting.
+  std::size_t bucket_span() const { return counts_.size(); }
+
  private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
+  /// Extends the held span so it covers bucket `index`; returns its slot.
+  std::uint32_t& bucket(int index);
+  /// Representative value of the sample with 0-based rank r.
+  double rank_value(std::uint64_t r) const;
+
+  std::vector<std::uint32_t> counts_;  // buckets offset_ .. offset_+size-1
+  int offset_ = 0;
+  std::uint64_t below_ = 0;  // samples < kMinTracked
+  std::size_t count_ = 0;
+  double min_ = 0.0;
+  double max_ = 0.0;
 };
 
 /// Fixed-bin histogram over a closed interval; out-of-range samples land in

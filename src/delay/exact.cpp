@@ -65,9 +65,10 @@ void ExactDelayEngine::do_compute_block(const imaging::FocalBlock& block,
     for (int p = 0; p < n; ++p) {
       const double rx = config_.seconds_to_samples(
           one_way_delay_s(block[p].position, d, config_.speed_of_sound));
+      // Both legs are distances, so the sum is >= 0, where kHalfUp
+      // rounding (do_compute's round_real_to_int) is floor(v + 0.5).
       row[static_cast<std::size_t>(p)] = static_cast<std::int32_t>(
-          fx::round_real_to_int(block_tx_[static_cast<std::size_t>(p)] + rx,
-                                fx::Rounding::kHalfUp));
+          std::floor(block_tx_[static_cast<std::size_t>(p)] + rx + 0.5));
     }
   }
 }

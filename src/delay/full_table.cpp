@@ -11,7 +11,8 @@ FullTableEngine::FullTableEngine(const imaging::SystemConfig& config,
     : config_(config), probe_(config.probe) {
   const std::int64_t entries = config.delays_per_frame();
   US3D_EXPECTS(entries <= max_entries);
-  table_.resize(static_cast<std::size_t>(entries));
+  auto table = std::make_shared<std::vector<std::int32_t>>(
+      static_cast<std::size_t>(entries));
 
   ExactDelayEngine exact(config);
   exact.begin_frame(Vec3{});
@@ -22,8 +23,10 @@ FullTableEngine::FullTableEngine(const imaging::SystemConfig& config,
       [&](const imaging::FocalPoint& fp) {
         const std::size_t base =
             base_index(fp.i_theta, fp.i_phi, fp.i_depth);
-        exact.compute(fp, std::span<std::int32_t>(&table_[base], n_elements));
+        exact.compute(fp,
+                      std::span<std::int32_t>(&(*table)[base], n_elements));
       });
+  table_ = std::move(table);
 }
 
 int FullTableEngine::element_count() const { return probe_.element_count(); }
@@ -55,27 +58,29 @@ void FullTableEngine::do_compute(const imaging::FocalPoint& fp,
                                  std::span<std::int32_t> out) {
   US3D_EXPECTS(out.size() == static_cast<std::size_t>(element_count()));
   const std::size_t base = base_index(fp.i_theta, fp.i_phi, fp.i_depth);
-  for (std::size_t e = 0; e < out.size(); ++e) out[e] = table_[base + e];
+  const std::vector<std::int32_t>& table = *table_;
+  for (std::size_t e = 0; e < out.size(); ++e) out[e] = table[base + e];
 }
 
 void FullTableEngine::do_compute_block(const imaging::FocalBlock& block,
                                        DelayPlane& plane) {
   const auto n_elements = static_cast<std::size_t>(element_count());
+  const std::vector<std::int32_t>& table = *table_;
   for (int p = 0; p < block.size(); ++p) {
     const imaging::FocalPoint& fp = block[p];
     const std::size_t base = base_index(fp.i_theta, fp.i_phi, fp.i_depth);
     for (std::size_t e = 0; e < n_elements; ++e) {
-      plane.at(static_cast<int>(e), p) = table_[base + e];
+      plane.at(static_cast<int>(e), p) = table[base + e];
     }
   }
 }
 
 std::int64_t FullTableEngine::entry_count() const {
-  return static_cast<std::int64_t>(table_.size());
+  return static_cast<std::int64_t>(table_->size());
 }
 
 double FullTableEngine::storage_bytes() const {
-  return static_cast<double>(table_.size()) * sizeof(std::int32_t);
+  return static_cast<double>(table_->size()) * sizeof(std::int32_t);
 }
 
 }  // namespace us3d::delay

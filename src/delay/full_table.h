@@ -6,6 +6,8 @@
 #define US3D_DELAY_FULL_TABLE_H
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "delay/engine.h"
@@ -24,11 +26,15 @@ class FullTableEngine final : public DelayEngine {
 
   std::string name() const override { return "FULLTABLE"; }
   int element_count() const override;
-  /// Copies the materialized table rather than recomputing it.
+  /// Shares the immutable materialized table with the clone
+  /// (shared_ptr<const>), the way TABLESTEER shares its reference table:
+  /// N worker clones read one copy instead of recomputing or copying it.
   std::unique_ptr<DelayEngine> clone() const override;
 
   std::int64_t entry_count() const;
   double storage_bytes() const;  ///< as materialized here (int32 entries)
+  /// The materialized [point][element] table (shared by every clone).
+  std::span<const std::int32_t> table() const { return *table_; }
 
  protected:
   void do_begin_frame(const Vec3& origin) override;
@@ -45,7 +51,8 @@ class FullTableEngine final : public DelayEngine {
 
   imaging::SystemConfig config_;
   probe::MatrixProbe probe_;
-  std::vector<std::int32_t> table_;
+  /// Immutable after construction; shared by every clone of this engine.
+  std::shared_ptr<const std::vector<std::int32_t>> table_;
 };
 
 }  // namespace us3d::delay

@@ -1,6 +1,7 @@
 #include "delay/pwl_sqrt.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/contracts.h"
@@ -105,18 +106,52 @@ double PwlSqrt::measured_max_error(std::size_t samples_per_segment) const {
   return worst;
 }
 
+namespace {
+
+/// The multiplier's output grid: Q20.f signed, f = result fraction bits.
+fx::Format product_format(const FixedPwlSqrt::Config& config) {
+  return fx::Format{20, config.result_format.fraction_bits, true};
+}
+
+/// Bits needed for a non-negative magnitude (0 for 0).
+int bit_width(std::int64_t v) {
+  return static_cast<int>(std::bit_width(static_cast<std::uint64_t>(v)));
+}
+
+}  // namespace
+
 FixedPwlSqrt::FixedPwlSqrt(const PwlSqrt& reference, const Config& config)
-    : config_(config) {
+    : config_(config),
+      x_limit_(static_cast<std::int64_t>(std::floor(reference.x_max()))) {
+  const fx::Format prod_fmt = product_format(config);
+  const int slope_frac = config.slope_format.fraction_bits;
+  const int value_frac = config.value_format.fraction_bits;
+  const int sum_frac = std::max(prod_fmt.fraction_bits, value_frac);
+  product_ = fx::Requantize(slope_frac, prod_fmt);
+  prod_align_ = sum_frac - prod_fmt.fraction_bits;
+  value_align_ = sum_frac - value_frac;
+  result_ = fx::Requantize(sum_frac, config.result_format);
+
+  // Construction-time proofs (see the class comment). |dx| <= x_limit_
+  // because both x and every x_start lie in [0, x_limit_].
+  US3D_EXPECTS(x_limit_ < (std::int64_t{1} << kMultiplierInputBits));
+  US3D_EXPECTS(config.slope_format.magnitude_bits() + bit_width(x_limit_) +
+                   product_.left <=
+               fx::kMaxWordBits);
+  US3D_EXPECTS(std::max(prod_fmt.integer_bits,
+                        config.value_format.integer_bits) +
+                   sum_frac + 1 <=
+               fx::kMaxWordBits);
+
   const auto& segs = reference.segments();
-  x_starts_.reserve(segs.size());
-  slopes_.reserve(segs.size());
-  values_.reserve(segs.size());
+  segments_.reserve(segs.size());
   for (const PwlSegment& seg : segs) {
     // Hardware anchors each segment at an integer boundary (the squared
     // distances it sees are integers).
-    x_starts_.push_back(static_cast<std::int64_t>(std::floor(seg.x_start)));
-    slopes_.push_back(fx::Value::from_real(seg.slope, config.slope_format));
-    values_.push_back(fx::Value::from_real(seg.value, config.value_format));
+    segments_.push_back(RawSegment{
+        static_cast<std::int64_t>(std::floor(seg.x_start)),
+        fx::Value::from_real(seg.slope, config.slope_format).raw(),
+        fx::Value::from_real(seg.value, config.value_format).raw()});
   }
 }
 
@@ -131,17 +166,19 @@ double FixedPwlSqrt::lut_bits() const {
 
 fx::Value FixedPwlSqrt::evaluate_in_segment(std::int64_t x,
                                             std::size_t segment) const {
-  US3D_EXPECTS(segment < slopes_.size());
+  US3D_EXPECTS(segment < segments_.size());
   US3D_EXPECTS(x >= 0);
-  const std::int64_t dx = x - x_starts_[segment];
+  const RawSegment& seg = segments_[segment];
+  const std::int64_t dx = x - seg.x_start;
   // One multiplier: c1 * dx, then one adder: + c0 (Fig. 2a). dx fits the
   // multiplier input: segments are widest at the top of the domain
   // (~2^21 sample^2 for the paper system).
-  const fx::Value prod =
-      fx::mul(slopes_[segment],
-              fx::Value::from_raw(dx, fx::Format{40, 0, true}),
-              fx::Format{20, config_.result_format.fraction_bits, true});
-  return fx::add(prod, values_[segment], config_.result_format);
+  const fx::Value prod = fx::mul(
+      fx::Value::from_raw(seg.c1, config_.slope_format),
+      fx::Value::from_raw(dx, fx::Format{kMultiplierInputBits, 0, true}),
+      product_format(config_));
+  return fx::add(prod, fx::Value::from_raw(seg.c0, config_.value_format),
+                 config_.result_format);
 }
 
 }  // namespace us3d::delay

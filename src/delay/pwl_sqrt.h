@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/contracts.h"
 #include "common/fixed_point.h"
 
 namespace us3d::delay {
@@ -61,6 +62,20 @@ class PwlSqrt {
 /// Fixed-point quantization of a PwlSqrt: c1/c0 are stored in LUT formats
 /// and evaluation happens on raw integer words, modelling the hardware
 /// datapath (one multiplier, one adder, Fig. 2a).
+///
+/// Two evaluators compute the same words. evaluate_in_segment() runs the
+/// datapath through fx::Value — every width change explicit, every format
+/// checked — and is the oracle. evaluate_raw() runs it on plain int64_t
+/// with the shifts, clamp bounds and rounding constants resolved at
+/// construction; it is what the TABLEFREE block path calls per delay.
+/// Construction proves, once, the range facts evaluate_in_segment checks
+/// (or silently assumes) per call, and rejects a Config/domain for which
+/// they would not hold:
+///   - every dx = x - x_start with x in [0, x_limit()] fits the Q40.0
+///     multiplier input (x_limit() < 2^40);
+///   - the product c1 * dx, aligned to the product grid, fits kMaxWordBits;
+///   - the product and c0, aligned to a common grid, sum within
+///     kMaxWordBits.
 class FixedPwlSqrt {
  public:
   struct Config {
@@ -69,10 +84,15 @@ class FixedPwlSqrt {
     fx::Format result_format{13, 6, false};  ///< per-path delay, samples
   };
 
+  /// Width of the multiplier's dx input, signed Q40.0.
+  static constexpr int kMultiplierInputBits = 40;
+
   FixedPwlSqrt(const PwlSqrt& reference, const Config& config);
 
   const Config& config() const { return config_; }
-  std::size_t segment_count() const { return slopes_.size(); }
+  std::size_t segment_count() const { return segments_.size(); }
+  /// Largest x the raw evaluator accepts: floor of the reference domain.
+  std::int64_t x_limit() const { return x_limit_; }
 
   /// Total LUT storage in bits (c1 table + c0 table + x_start table).
   double lut_bits() const;
@@ -82,11 +102,32 @@ class FixedPwlSqrt {
   /// `segment` comes from a PwlTracker or find_segment on the reference.
   fx::Value evaluate_in_segment(std::int64_t x, std::size_t segment) const;
 
+  /// The same evaluation on raw words: returns the raw result_format word
+  /// evaluate_in_segment(x, segment) holds, bit for bit. x must lie in
+  /// [0, x_limit()].
+  std::int64_t evaluate_raw(std::int64_t x, std::size_t segment) const {
+    US3D_EXPECTS(segment < segments_.size() && x >= 0 && x <= x_limit_);
+    const RawSegment& s = segments_[segment];
+    const std::int64_t prod = product_(s.c1 * (x - s.x_start));
+    return result_((prod << prod_align_) + (s.c0 << value_align_));
+  }
+
  private:
+  struct RawSegment {
+    std::int64_t x_start = 0;  // integer segment boundary
+    std::int64_t c1 = 0;       // slope_format raw word
+    std::int64_t c0 = 0;       // value_format raw word
+  };
+
   Config config_;
-  std::vector<std::int64_t> x_starts_;  // integer segment boundaries
-  std::vector<fx::Value> slopes_;
-  std::vector<fx::Value> values_;
+  std::vector<RawSegment> segments_;
+  std::int64_t x_limit_ = 0;
+  // The resolved datapath: c1*dx onto the Q20.f product grid, then product
+  // and c0 aligned on the finer of the two grids, then onto result_format.
+  fx::Requantize product_;
+  int prod_align_ = 0;
+  int value_align_ = 0;
+  fx::Requantize result_;
 };
 
 }  // namespace us3d::delay

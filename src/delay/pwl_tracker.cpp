@@ -6,25 +6,12 @@
 
 namespace us3d::delay {
 
-PwlTracker::PwlTracker(const PwlSqrt& table) : table_(&table) {}
+PwlTracker::PwlTracker(const PwlSqrt& table)
+    : table_(&table), x_min_(table.x_min()), x_max_(table.x_max()) {}
 
 PwlTracker::Evaluation PwlTracker::evaluate(double x) {
-  US3D_EXPECTS(x >= table_->x_min() && x <= table_->x_max());
-  const auto& segs = table_->segments();
-  int steps = 0;
-  // Step down while x is below the current segment's start.
-  while (segment_ > 0 && x < segs[segment_].x_start) {
-    --segment_;
-    ++steps;
-  }
-  // Step up while x is at or beyond the next segment's start.
-  while (segment_ + 1 < segs.size() && x >= segs[segment_ + 1].x_start) {
-    ++segment_;
-    ++steps;
-  }
-  ++evaluations_;
-  total_steps_ += steps;
-  max_steps_ = std::max(max_steps_, steps);
+  US3D_EXPECTS(x >= x_min_ && x <= x_max_);
+  const int steps = step_to(x);
   return Evaluation{table_->evaluate_in_segment(x, segment_), steps};
 }
 
@@ -33,6 +20,8 @@ void PwlTracker::seek(double x) { segment_ = table_->find_segment(x); }
 void PwlTracker::rebind(const PwlSqrt& table) {
   US3D_EXPECTS(table.segment_count() == table_->segment_count());
   table_ = &table;
+  x_min_ = table.x_min();
+  x_max_ = table.x_max();
 }
 
 void PwlTracker::reset_statistics() {

@@ -9,6 +9,7 @@
 #ifndef US3D_DELAY_PWL_TRACKER_H
 #define US3D_DELAY_PWL_TRACKER_H
 
+#include <algorithm>
 #include <cstdint>
 
 #include "delay/pwl_sqrt.h"
@@ -28,6 +29,17 @@ class PwlTracker {
   /// Moves the current segment toward x (one step per crossed boundary)
   /// and evaluates. x must lie inside the table domain.
   Evaluation evaluate(double x);
+
+  /// The segment-only step: clamps x into the table domain, moves the
+  /// current segment to x's and charges the steps as evaluate() does, but
+  /// evaluates nothing — for callers that evaluate segment() themselves
+  /// (the fixed-point datapath). Returns the clamped x. Clamping makes the
+  /// domain hold by construction, so no per-call range check is needed.
+  double advance_clamped(double x) {
+    x = std::clamp(x, x_min_, x_max_);
+    step_to(x);
+    return x;
+  }
 
   /// Current segment index (for pairing with FixedPwlSqrt).
   std::size_t segment() const { return segment_; }
@@ -51,12 +63,38 @@ class PwlTracker {
   void reset_statistics();
 
  private:
+  /// Moves segment_ to x's, charging one step per crossed boundary;
+  /// returns the steps taken. x must lie in the table domain.
+  int step_to(double x);
+
   const PwlSqrt* table_;
+  double x_min_;  // table_'s domain, cached for the per-delay step
+  double x_max_;
   std::size_t segment_ = 0;
   std::int64_t total_steps_ = 0;
   std::int64_t evaluations_ = 0;
   int max_steps_ = 0;
 };
+
+// Inline: the per-delay step of the TABLEFREE paths.
+inline int PwlTracker::step_to(double x) {
+  const auto& segs = table_->segments();
+  int steps = 0;
+  // Step down while x is below the current segment's start.
+  while (segment_ > 0 && x < segs[segment_].x_start) {
+    --segment_;
+    ++steps;
+  }
+  // Step up while x is at or beyond the next segment's start.
+  while (segment_ + 1 < segs.size() && x >= segs[segment_ + 1].x_start) {
+    ++segment_;
+    ++steps;
+  }
+  ++evaluations_;
+  total_steps_ += steps;
+  max_steps_ = std::max(max_steps_, steps);
+  return steps;
+}
 
 }  // namespace us3d::delay
 

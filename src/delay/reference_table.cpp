@@ -81,6 +81,12 @@ fx::Value ReferenceDelayTable::entry_quad(int qx, int qy, int i_depth) const {
   return fx::Value::from_raw(raw_[index(qx, qy, i_depth)], format_);
 }
 
+std::span<const std::int32_t> ReferenceDelayTable::raw_depths(int ix,
+                                                              int iy) const {
+  return std::span<const std::int32_t>(raw_).subspan(
+      index(fold_x(ix), fold_y(iy), 0), static_cast<std::size_t>(depths_));
+}
+
 double ReferenceDelayTable::entry_real(int ix, int iy, int i_depth) const {
   return entry(ix, iy, i_depth).to_real();
 }

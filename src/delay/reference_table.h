@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/fixed_point.h"
@@ -53,6 +54,9 @@ class ReferenceDelayTable {
   fx::Value entry(int ix, int iy, int i_depth) const;
   fx::Value entry_quad(int qx, int qy, int i_depth) const;
   double entry_real(int ix, int iy, int i_depth) const;
+  /// Raw entry_format words of full-grid element (ix, iy) for every depth
+  /// index, contiguous: the per-element column raw datapaths read.
+  std::span<const std::int32_t> raw_depths(int ix, int iy) const;
 
   /// Exact (double) value the entry was quantized from.
   double exact_entry_samples(int ix, int iy, int i_depth) const;

@@ -109,6 +109,21 @@ fx::Value SteeringCorrections::y_correction(int iy, int i_phi) const {
   return fx::Value::from_raw(y_raw_[y_index(iy, i_phi)], format_);
 }
 
+std::span<const std::int32_t> SteeringCorrections::x_raw_column(
+    int ix) const {
+  return std::span<const std::int32_t>(x_raw_).subspan(
+      x_index(ix, 0, 0), static_cast<std::size_t>(n_theta_) *
+                             static_cast<std::size_t>(n_phi_folded_));
+}
+
+std::size_t SteeringCorrections::x_offset(int i_theta, int i_phi) const {
+  return x_index(0, i_theta, fold_phi(i_phi));
+}
+
+std::int32_t SteeringCorrections::y_raw(int iy, int i_phi) const {
+  return y_raw_[y_index(iy, i_phi)];
+}
+
 std::int64_t SteeringCorrections::x_coefficient_count() const {
   return static_cast<std::int64_t>(x_raw_.size());
 }

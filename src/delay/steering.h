@@ -12,6 +12,7 @@
 #define US3D_DELAY_STEERING_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/fixed_point.h"
@@ -43,6 +44,13 @@ class SteeringCorrections {
   fx::Value x_correction(int ix, int i_theta, int i_phi) const;
   /// Correction contribution of element row iy for elevation i_phi.
   fx::Value y_correction(int iy, int i_phi) const;
+
+  /// Raw-word access for datapaths that resolve the format once:
+  /// x_correction(ix, t, p).raw() == x_raw_column(ix)[x_offset(t, p)] and
+  /// y_correction(iy, p).raw() == y_raw(iy, p).
+  std::span<const std::int32_t> x_raw_column(int ix) const;
+  std::size_t x_offset(int i_theta, int i_phi) const;
+  std::int32_t y_raw(int iy, int i_phi) const;
 
   std::int64_t x_coefficient_count() const;
   std::int64_t y_coefficient_count() const;

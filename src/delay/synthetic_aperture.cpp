@@ -70,7 +70,8 @@ SyntheticApertureSteerEngine::SyntheticApertureSteerEngine(
       probe_(config.probe),
       ts_config_(ts_config),
       repo_(config, plan, ts_config.entry_format),
-      corrections_(config, ts_config.coeff_format) {}
+      corrections_(config, ts_config.coeff_format),
+      adder_(ts_config) {}
 
 int SyntheticApertureSteerEngine::element_count() const {
   return probe_.element_count();
@@ -119,8 +120,8 @@ void SyntheticApertureSteerEngine::do_compute(const imaging::FocalPoint& fp,
 
 void SyntheticApertureSteerEngine::do_compute_block(
     const imaging::FocalBlock& block, DelayPlane& plane) {
-  steer_compute_block(probe_, repo_.table(active_), corrections_, ts_config_,
-                      block, plane, block_cy_);
+  steer_compute_block(probe_, repo_.table(active_), corrections_, adder_,
+                      block, plane, block_scratch_);
 }
 
 }  // namespace us3d::delay

@@ -107,8 +107,9 @@ class SyntheticApertureSteerEngine final : public DelayEngine {
   TableSteerConfig ts_config_;
   MultiOriginTableRepository repo_;
   SteeringCorrections corrections_;
+  SteerAdder adder_;
   int active_ = 0;
-  std::vector<fx::Value> block_cy_;  // per-block y-corrections, reused
+  SteerBlockScratch block_scratch_;
 };
 
 }  // namespace us3d::delay

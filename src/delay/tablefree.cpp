@@ -37,7 +37,12 @@ TableFreeEngine::TableFreeEngine(const imaging::SystemConfig& config,
       tf_config_(tf_config),
       pwl_(build_pwl(config, tf_config)),
       fixed_pwl_(pwl_, tf_config.fixed),
-      tx_tracker_(pwl_) {
+      tx_tracker_(pwl_),
+      delay_round_(tf_config.fixed.result_format.fraction_bits) {
+  // Proof that lets the block path sum the two raw path words where the
+  // oracle sums their to_real() values: both words and their sum stay
+  // below 2^52, so the double sum, and its half-up rounding, are exact.
+  US3D_EXPECTS(tf_config.fixed.result_format.magnitude_bits() <= 51);
   const double k = config_.sampling_frequency_hz / config_.speed_of_sound;
   element_pos_samples_.reserve(
       static_cast<std::size_t>(probe_.element_count()));
@@ -59,7 +64,8 @@ TableFreeEngine::TableFreeEngine(const TableFreeEngine& other)
       rx_trackers_(other.rx_trackers_),
       tx_tracker_(other.tx_tracker_),
       origin_samples_(other.origin_samples_),
-      pending_seek_(other.pending_seek_) {
+      pending_seek_(other.pending_seek_),
+      delay_round_(other.delay_round_) {
   for (PwlTracker& t : rx_trackers_) t.rebind(pwl_);
   tx_tracker_.rebind(pwl_);
 }
@@ -94,7 +100,7 @@ void TableFreeEngine::seed_trackers(const Vec3& s0) {
 }
 
 double TableFreeEngine::evaluate_path(PwlTracker& tracker, double q) const {
-  tracker.evaluate(q);
+  tracker.advance_clamped(q);  // q is already in the domain
   if (tf_config_.use_fixed_point) {
     return fixed_pwl_
         .evaluate_in_segment(static_cast<std::int64_t>(q), tracker.segment())
@@ -129,6 +135,12 @@ void TableFreeEngine::do_compute(const imaging::FocalPoint& fp,
 
 void TableFreeEngine::do_compute_block(const imaging::FocalBlock& block,
                                        DelayPlane& plane) {
+  // The double-precision PWL is an error-analysis mode, not the hardware
+  // datapath: it runs the per-point loop.
+  if (!tf_config_.use_fixed_point) {
+    DelayEngine::do_compute_block(block, plane);
+    return;
+  }
   const double k = config_.sampling_frequency_hz / config_.speed_of_sound;
   const int n = block.size();
   block_pos_.resize(static_cast<std::size_t>(n));
@@ -138,32 +150,32 @@ void TableFreeEngine::do_compute_block(const imaging::FocalBlock& block,
 
   if (pending_seek_) seed_trackers(block_pos_.front());
 
-  // Transmit leg: the shared tracker walks the whole run once.
-  block_tx_.resize(static_cast<std::size_t>(n));
-  for (int p = 0; p < n; ++p) {
-    const double q_tx =
-        std::clamp(squared_distance(block_pos_[static_cast<std::size_t>(p)],
-                                    origin_samples_),
-                   pwl_.x_min(), pwl_.x_max());
-    block_tx_[static_cast<std::size_t>(p)] = evaluate_path(tx_tracker_, q_tx);
+  // Transmit leg: the shared tracker walks the whole run once. Path delays
+  // stay raw result_format words; the tracker clamps q to the table
+  // domain, which keeps the truncated x inside evaluate_raw's [0, x_limit].
+  block_tx_raw_.resize(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < block_pos_.size(); ++i) {
+    const double q_tx = tx_tracker_.advance_clamped(
+        squared_distance(block_pos_[i], origin_samples_));
+    block_tx_raw_[i] = fixed_pwl_.evaluate_raw(static_cast<std::int64_t>(q_tx),
+                                               tx_tracker_.segment());
   }
 
   // Receive legs: each element's tracker advances once across the whole
   // run before the next element is touched. The tracker sees the same q
   // sequence as in the per-point sweep, so segments — and therefore delay
-  // values and step counts — are identical.
+  // values and step counts — are identical. The two raw path words are
+  // summed and rounded half-up to the echo-sample index in one shift.
   for (std::size_t e = 0; e < rx_trackers_.size(); ++e) {
     PwlTracker& tracker = rx_trackers_[e];
     const Vec3 d = element_pos_samples_[e];
     const std::span<std::int32_t> row = plane.row(static_cast<int>(e));
-    for (int p = 0; p < n; ++p) {
-      const double q_rx = std::clamp(
-          squared_distance(block_pos_[static_cast<std::size_t>(p)], d),
-          pwl_.x_min(), pwl_.x_max());
-      const double t_rx = evaluate_path(tracker, q_rx);
-      row[static_cast<std::size_t>(p)] = static_cast<std::int32_t>(
-          fx::round_real_to_int(block_tx_[static_cast<std::size_t>(p)] + t_rx,
-                                fx::Rounding::kHalfUp));
+    for (std::size_t i = 0; i < block_pos_.size(); ++i) {
+      const double q_rx =
+          tracker.advance_clamped(squared_distance(block_pos_[i], d));
+      const std::int64_t t_rx = fixed_pwl_.evaluate_raw(
+          static_cast<std::int64_t>(q_rx), tracker.segment());
+      row[i] = static_cast<std::int32_t>(delay_round_(block_tx_raw_[i] + t_rx));
     }
   }
 }

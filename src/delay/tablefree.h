@@ -73,7 +73,9 @@ class TableFreeEngine final : public DelayEngine {
   /// receive tracker advances across the *whole* run before the next
   /// element is touched. Segment tracking stays incremental (the argument
   /// changes smoothly along a run), but the per-voxel re-dispatch into
-  /// every tracker is gone.
+  /// every tracker is gone. Delays run on the raw datapath resolved at
+  /// construction (FixedPwlSqrt::evaluate_raw, delay_round_); do_compute()
+  /// keeps the fx::Value path as the oracle it must match bit for bit.
   void do_compute_block(const imaging::FocalBlock& block,
                         DelayPlane& plane) override;
 
@@ -82,8 +84,9 @@ class TableFreeEngine final : public DelayEngine {
   /// sample-scaled coordinates.
   static double squared_distance(const Vec3& a, const Vec3& b);
 
-  /// One PWL receive/transmit path evaluation at squared distance q using
-  /// `tracker`'s current segment (which evaluate() just advanced).
+  /// One PWL receive/transmit path evaluation at squared distance q:
+  /// advances `tracker` to q's segment and evaluates it through fx::Value
+  /// (or the double PWL when fixed point is off).
   double evaluate_path(PwlTracker& tracker, double q) const;
 
   /// Frame-start preload of every tracker's segment register at the first
@@ -102,8 +105,10 @@ class TableFreeEngine final : public DelayEngine {
   PwlTracker tx_tracker_;
   Vec3 origin_samples_{};
   bool pending_seek_ = true;
-  std::vector<Vec3> block_pos_;    // per-block scaled positions, reused
-  std::vector<double> block_tx_;   // per-block transmit delays, reused
+  /// Half-up rounding of a two-path result_format sum to a sample index.
+  fx::RoundShift delay_round_;
+  std::vector<Vec3> block_pos_;  // per-block scaled positions, reused
+  std::vector<std::int64_t> block_tx_raw_;  // per-block transmit words, reused
 };
 
 }  // namespace us3d::delay

@@ -33,10 +33,55 @@ struct TableSteerConfig {
   std::string name_suffix() const;  ///< "-18b", "-14b", ...
 };
 
+/// The Fig. 4 adder pair on raw words, resolved once from a
+/// TableSteerConfig into alignment shifts, clamp bounds and the half-up
+/// constant:
+///
+///   stage 1:  s = sat_sum(ref + cx)
+///   stage 2:  d = max(0, round_half_up(sat_sum(s + cy)))
+///
+/// Bit-identical to two fx::add into sum_format followed by
+/// round_to_int(kHalfUp) and the clamp at zero (steer_compute_point, the
+/// oracle). Shared by steer_compute_block and the hw::SteerBlock model so
+/// the two cannot fork. Construction proves that every aligned operand sum
+/// of in-range words stays within fx::kMaxWordBits and rejects a format
+/// set for which it would not.
+class SteerAdder {
+ public:
+  explicit SteerAdder(const TableSteerConfig& formats);
+
+  const TableSteerConfig& formats() const { return formats_; }
+
+  /// ref (entry_format) + cx (coeff_format) -> sum_format raw word.
+  std::int64_t stage1(std::int64_t ref, std::int64_t cx) const {
+    return sum0_((ref << ref_align_) + (cx << cx_align_));
+  }
+  /// s (sum_format) + cy (coeff_format) -> echo-sample index, >= 0.
+  std::int32_t stage2(std::int64_t s, std::int64_t cy) const {
+    const std::int64_t idx =
+        to_index_(sum1_((s << s_align_) + (cy << cy_align_)));
+    return static_cast<std::int32_t>(idx < 0 ? 0 : idx);
+  }
+  std::int32_t operator()(std::int64_t ref, std::int64_t cx,
+                          std::int64_t cy) const {
+    return stage2(stage1(ref, cx), cy);
+  }
+
+ private:
+  TableSteerConfig formats_;
+  int ref_align_ = 0;
+  int cx_align_ = 0;
+  fx::Requantize sum0_;
+  int s_align_ = 0;
+  int cy_align_ = 0;
+  fx::Requantize sum1_;
+  fx::RoundShift to_index_;
+};
+
 /// The Fig. 4 datapath (table read + two adds + rounding) for one focal
-/// point. Shared by TableSteerEngine and the synthetic-aperture engine,
-/// which runs the same datapath against whichever origin's table is
-/// active; steer_compute_block is the batched form of exactly this.
+/// point, through fx::Value: the per-point oracle. Shared by
+/// TableSteerEngine and the synthetic-aperture engine, which runs the same
+/// datapath against whichever origin's table is active.
 void steer_compute_point(const probe::MatrixProbe& probe,
                          const ReferenceDelayTable& table,
                          const SteeringCorrections& corrections,
@@ -44,14 +89,22 @@ void steer_compute_point(const probe::MatrixProbe& probe,
                          const imaging::FocalPoint& fp,
                          std::span<std::int32_t> out);
 
-/// The same datapath applied to a whole block, element-outer. `cy_scratch`
-/// is reusable per-point y-correction storage (grown once).
+/// Reusable per-block storage of steer_compute_block (grown once).
+struct SteerBlockScratch {
+  std::vector<std::size_t> x_offset;  ///< per point, into x_raw_column
+  std::vector<std::int64_t> cy;       ///< per point, current row's cy
+};
+
+/// The same datapath applied to a whole block, element-outer, on raw
+/// words through `adder` (which must be resolved from the formats of
+/// `table` and `corrections`). Per-point indices are checked once per
+/// block, not once per (element, point).
 void steer_compute_block(const probe::MatrixProbe& probe,
                          const ReferenceDelayTable& table,
                          const SteeringCorrections& corrections,
-                         const TableSteerConfig& ts_config,
+                         const SteerAdder& adder,
                          const imaging::FocalBlock& block, DelayPlane& plane,
-                         std::vector<fx::Value>& cy_scratch);
+                         SteerBlockScratch& scratch);
 
 class TableSteerEngine final : public DelayEngine {
  public:
@@ -77,10 +130,10 @@ class TableSteerEngine final : public DelayEngine {
   void do_begin_frame(const Vec3& origin) override;
   void do_compute(const imaging::FocalPoint& fp,
                   std::span<std::int32_t> out) override;
-  /// Native block path: element-outer sweep with the per-row y-correction
-  /// gathered once per row and — on uniform-depth blocks, i.e. every
-  /// kNappeByNappe block — the reference-table entry read once per element
-  /// instead of once per (element, point).
+  /// Native block path: element-outer sweep on the raw SteerAdder with the
+  /// per-row y-correction gathered once per row and — on uniform-depth
+  /// blocks, i.e. every kNappeByNappe block — the reference-table entry
+  /// read once per element instead of once per (element, point).
   void do_compute_block(const imaging::FocalBlock& block,
                         DelayPlane& plane) override;
 
@@ -91,7 +144,8 @@ class TableSteerEngine final : public DelayEngine {
   /// Immutable after construction; shared by every clone of this engine.
   std::shared_ptr<const ReferenceDelayTable> table_;
   SteeringCorrections corrections_;
-  std::vector<fx::Value> block_cy_;  // per-block y-corrections, reused
+  SteerAdder adder_;
+  SteerBlockScratch block_scratch_;
 };
 
 }  // namespace us3d::delay

@@ -10,9 +10,11 @@
 // held constant through an insonification ("entirely removing the
 // coefficients from the critical timing path").
 //
-// The model is verified bit-exact against TableSteerEngine, establishing
-// that the fabric of 128 such blocks computes precisely the delays the
-// algorithmic engine defines.
+// Both stages run delay::SteerAdder, the raw adder pair the TABLESTEER
+// block path uses, so the model cannot fork from the engine. It is
+// verified bit-exact against TableSteerEngine, establishing that the
+// fabric of 128 such blocks computes precisely the delays the algorithmic
+// engine defines.
 #ifndef US3D_HW_STEER_BLOCK_H
 #define US3D_HW_STEER_BLOCK_H
 
@@ -48,7 +50,7 @@ class SteerBlock {
              std::span<std::int32_t> out) const;
 
  private:
-  delay::TableSteerConfig formats_;
+  delay::SteerAdder adder_;
   std::vector<fx::Value> x_regs_;
   std::vector<fx::Value> y_regs_;
   bool loaded_ = false;

@@ -59,5 +59,26 @@ TEST(FullTableEngine, NameIsFullTable) {
   EXPECT_EQ(FullTableEngine(tiny_cfg()).name(), "FULLTABLE");
 }
 
+TEST(FullTableEngine, CloneSharesTheImmutableTable) {
+  // N worker clones must read one shared table, never copy it.
+  const auto cfg = tiny_cfg();
+  FullTableEngine engine(cfg);
+  const auto clone = engine.clone();
+  auto* table_clone = dynamic_cast<FullTableEngine*>(clone.get());
+  ASSERT_NE(table_clone, nullptr);
+  EXPECT_EQ(table_clone->table().data(), engine.table().data());
+  EXPECT_EQ(table_clone->entry_count(), engine.entry_count());
+
+  // Sharing must not change values: same delays from engine and clone.
+  engine.begin_frame(Vec3{});
+  table_clone->begin_frame(Vec3{});
+  const imaging::VolumeGrid grid(cfg.volume);
+  std::vector<std::int32_t> a(36), b(36);
+  const imaging::FocalPoint fp = grid.focal_point(1, 2, 3);
+  engine.compute(fp, a);
+  table_clone->compute(fp, b);
+  EXPECT_EQ(a, b);
+}
+
 }  // namespace
 }  // namespace us3d::delay

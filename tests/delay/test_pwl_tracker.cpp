@@ -89,6 +89,25 @@ TEST(PwlTracker, SeekDoesNotChargeSteps) {
   EXPECT_EQ(tracker.segment(), pwl.find_segment(9.0e5));
 }
 
+TEST(PwlTracker, SegmentOnlyStepMatchesEvaluateAndClampsToTheDomain) {
+  const PwlSqrt pwl = make_table();
+  PwlTracker stepped(pwl), evaluated(pwl);
+  for (const double x : {16.0, 5.0e5, 1.0e6, 3.0e2, 7.7e4}) {
+    EXPECT_EQ(stepped.advance_clamped(x), x);
+    evaluated.evaluate(x);
+    EXPECT_EQ(stepped.segment(), evaluated.segment()) << x;
+  }
+  EXPECT_EQ(stepped.total_steps(), evaluated.total_steps());
+  EXPECT_EQ(stepped.evaluations(), evaluated.evaluations());
+  EXPECT_EQ(stepped.max_steps_single_evaluation(),
+            evaluated.max_steps_single_evaluation());
+  // Out-of-domain inputs land on the domain edge, never beyond it.
+  EXPECT_EQ(stepped.advance_clamped(1.0), pwl.x_min());
+  EXPECT_EQ(stepped.segment(), 0u);
+  EXPECT_EQ(stepped.advance_clamped(2.0e6), pwl.x_max());
+  EXPECT_EQ(stepped.segment(), pwl.segment_count() - 1);
+}
+
 TEST(PwlTracker, RejectsOutOfDomain) {
   const PwlSqrt pwl = make_table();
   PwlTracker tracker(pwl);

@@ -404,6 +404,11 @@ TEST(ImagingService, MidRunScrapesNeverObserveATornLedger) {
     service.submit(a.session, std::move(f));  // sheds under pressure: fine
     service.poll(a.session, kDevNull);
   }
+  // Keep the session open until at least one whole scrape has run against
+  // it: on a loaded machine the submit loop can finish before the scraper
+  // thread is first scheduled, and the scrape count below would fail.
+  const int scrapes_before_close = scrapes.load();
+  while (scrapes.load() < scrapes_before_close + 2) std::this_thread::yield();
   const SessionStats closed = service.close_session(a.session, kDevNull);
   stop.store(true, std::memory_order_relaxed);
   scraper.join();

@@ -1,9 +1,10 @@
-// Lint fixture: code that satisfies all five checks — literal trace and
+// Lint fixture: code that satisfies all six checks — literal trace and
 // event names and keys (an event's detail argument may be a static
 // non-literal expression), no fused multiply-add (comments and strings
 // mentioning std::fma or _mm256_fmadd_ps must NOT trip the token scan),
 // locking via the annotated wrappers, and a to_json whose keys all
-// round-trip.
+// round-trip. It defines no delay block path, so raw-hot-path has nothing
+// to flag.
 #include <string>
 
 #include "common/annotated_mutex.h"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """House lint for the us3d codebase. Stdlib-only, no third-party deps.
 
-Five checks, each enforcing an invariant the compilers cannot:
+Six checks, each enforcing an invariant the compilers cannot:
 
   trace-literal   US3D_TRACE_SPAN / US3D_TRACE_INSTANT store their name
                   and key arguments as `const char*` without copying
@@ -39,6 +39,14 @@ Five checks, each enforcing an invariant the compilers cannot:
                   strict from_json reader must parse every key it emits:
                   the readers reject unknown fields, so an emitted key
                   missing from the reader breaks round-tripping.
+
+  raw-hot-path    The delay block paths (do_compute_block and
+                  steer_compute_block bodies in src/delay/) run on raw
+                  integer words resolved at construction (fx::Requantize,
+                  fx::RoundShift, FixedPwlSqrt::evaluate_raw, SteerAdder).
+                  fx::add/sub/mul, Value::from_raw and round_real_to_int
+                  are the per-delay format emulation those paths replaced;
+                  they belong in the per-point compute() oracles only.
 
 Usage:
   python3 tools/lint_us3d.py [--root DIR]   # lint the repo, exit 1 on findings
@@ -305,6 +313,54 @@ def check_json_contract(path, text):
 
 
 # --------------------------------------------------------------------------
+# Check 6: no fx::Value emulation inside the delay block paths
+
+HOT_PATH_FUNCTION = re.compile(
+    r"\b(?:\w+::)*(do_compute_block|steer_compute_block)\s*\(")
+HOT_PATH_QUALIFIERS = re.compile(r"\s*(?:(?:const|override|final|noexcept)\b\s*)*")
+EMULATION_TOKEN = re.compile(
+    r"\bfx::(?:add|sub|mul)\s*\(|\bValue::from_raw\b"
+    r"|\bround_real_to_int\b")
+
+
+def function_bodies(clean, pattern):
+    """Yield (name, body_start, body_end) for each definition matching
+    `pattern` (a regex ending at the parameter list's `(`); declarations
+    and calls (a `;` after the parameter list) are skipped."""
+    for match in pattern.finditer(clean):
+        _, close = split_macro_args(clean, match.end() - 1)
+        if close == match.end() - 1:
+            continue  # unbalanced
+        after = HOT_PATH_QUALIFIERS.match(clean, close + 1).end()
+        if after >= len(clean) or clean[after] != "{":
+            continue
+        depth, i = 0, after
+        while i < len(clean):
+            if clean[i] == "{":
+                depth += 1
+            elif clean[i] == "}":
+                depth -= 1
+                if depth == 0:
+                    break
+            i += 1
+        yield match.group(1), after, i
+
+
+def check_raw_hot_path(path, text):
+    findings = []
+    clean = strip_strings(strip_comments(text))
+    for name, start, end in function_bodies(clean, HOT_PATH_FUNCTION):
+        for match in EMULATION_TOKEN.finditer(clean, start, end):
+            findings.append(
+                (path, line_of(clean, match.start()),
+                 "`%s` in %s: the delay block path runs on raw words "
+                 "resolved at construction; fx::Value emulation belongs "
+                 "in the per-point compute() oracle" %
+                 (match.group(0).rstrip("( \t"), name)))
+    return findings
+
+
+# --------------------------------------------------------------------------
 # Repo scanning
 
 DAS_KERNEL_TU = re.compile(
@@ -335,6 +391,8 @@ def lint_repo(root):
             findings.extend(check_no_raw_mutex(rel, text))
         if rel.startswith("src/"):
             findings.extend(check_json_contract(rel, text))
+        if rel.startswith("src/delay/"):
+            findings.extend(check_raw_hot_path(rel, text))
     return findings
 
 
@@ -351,9 +409,10 @@ FIXTURES = {
     "bad_neon_fma_kernel.cpp": (check_no_fma, True),
     "bad_raw_mutex.cpp": (check_no_raw_mutex, True),
     "bad_json_contract.cpp": (check_json_contract, True),
+    "bad_raw_hot_path.cpp": (check_raw_hot_path, True),
 }
 ALL_CHECKS = (check_trace_literals, check_event_literals, check_no_fma,
-              check_no_raw_mutex, check_json_contract)
+              check_no_raw_mutex, check_json_contract, check_raw_hot_path)
 
 
 def self_test(root):
